@@ -44,6 +44,12 @@ impl SplitMix64 {
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
+
+    /// A uniform float in `[lo, hi)`, from the top 53 bits of one draw.
+    pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        lo + unit * (hi - lo)
+    }
 }
 
 /// One injectable deck fault, with the stage that must report it.

@@ -64,6 +64,24 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+impl CacheStats {
+    /// Appends this snapshot to `perf` as the `cache.hits`,
+    /// `cache.misses`, `cache.evictions`, `cache.bytes` and
+    /// `cache.entries` counters, the layout batch reports and the serve
+    /// `/metrics` body share.
+    pub fn append_counters(&self, perf: &mut cafemio_instrument::PerfReport) {
+        for (name, value) in [
+            ("cache.hits", self.hits),
+            ("cache.misses", self.misses),
+            ("cache.evictions", self.evictions),
+            ("cache.bytes", self.bytes),
+            ("cache.entries", self.entries as u64),
+        ] {
+            perf.add_counter(name, value);
+        }
+    }
+}
+
 struct Entry {
     value: Arc<dyn Any + Send + Sync>,
     bytes: u64,

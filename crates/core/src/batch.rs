@@ -13,8 +13,8 @@
 //!   submission order regardless of completion order, and each job's
 //!   output is bit-identical whether the pool has 1 worker or N (every
 //!   job is independent and every stage is deterministic);
-//! * **bounded memory** — jobs flow through a bounded queue
-//!   ([`BatchOptions::max_in_flight`]) so a million-deck submission
+//! * **bounded memory** — at most [`BatchOptions::max_in_flight`] jobs
+//!   are admitted and unfinished at once, so a million-deck submission
 //!   never materializes a million decoded artifacts at once;
 //! * **structured failure** — each failed job carries its
 //!   [`PipelineError`] with [`Stage`](crate::pipeline::Stage)
@@ -23,6 +23,10 @@
 //! * **merged observability** — a per-stage
 //!   [`PerfReport`] aggregated across workers
 //!   ([`PerfReport::merge`]), with a jobs/sec throughput counter.
+//!
+//! There is one engine: [`BatchDispatcher`] owns the worker pool, and
+//! [`run_batch`] is a short driver that submits a job list to a private
+//! dispatcher and drains it.
 //!
 //! ```
 //! use cafemio::batch::{run_batch, BatchJob, BatchOptions};
@@ -62,14 +66,15 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use cafemio_audit::AuditOptions;
 use cafemio_fem::{CgOptions, FemError, FemModel, SolverBackend};
 use cafemio_idlz::Capability;
-use cafemio_instrument::{CounterRecord, PerfReport, SpanRecord};
+use cafemio_instrument::{LocalClock, PerfReport, SpanRecord};
 use cafemio_lint::{LintConfig, LintError};
 use cafemio_mesh::TriMesh;
 use cafemio_ospl::ContourOptions;
@@ -78,28 +83,6 @@ use crate::config::SessionConfig;
 use crate::pipeline::{
     audit_failure, PipelineBuilder, PipelineError, StageError, StressComponent, StressPlot,
 };
-
-/// Appends a `cache.*` counter snapshot from the configured store (if
-/// any) to a merged report: hits, misses, evictions, resident bytes, and
-/// entry count at the moment the report was assembled.
-fn append_cache_counters(perf: &mut PerfReport, config: &SessionConfig) {
-    let Some(store) = config.cache_store() else {
-        return;
-    };
-    let stats = store.stats();
-    for (name, value) in [
-        ("cache.hits", stats.hits),
-        ("cache.misses", stats.misses),
-        ("cache.evictions", stats.evictions),
-        ("cache.bytes", stats.bytes),
-        ("cache.entries", stats.entries as u64),
-    ] {
-        perf.counters.push(CounterRecord {
-            name: name.to_owned(),
-            value,
-        });
-    }
-}
 
 /// The model-setup callback a job carries: boundary conditions and loads
 /// for one idealized mesh. Shared (`Arc`) so a corpus of jobs can reuse
@@ -189,9 +172,10 @@ pub enum ErrorPolicy {
     /// overnight-batch behavior (default).
     #[default]
     CollectAll,
-    /// Stop scheduling new jobs after the first failure; jobs that never
-    /// started report [`JobOutcome::Skipped`]. Jobs already in flight
-    /// run to completion.
+    /// Stop submitting new jobs once a failure is seen; jobs that were
+    /// never submitted report [`JobOutcome::Skipped`]. Jobs already
+    /// admitted (at most [`BatchOptions::max_in_flight`]) run to
+    /// completion.
     FailFast,
 }
 
@@ -238,9 +222,11 @@ impl BatchOptions {
         self
     }
 
-    /// Bounds the job queue: the submitter blocks once this many jobs
-    /// are queued but unclaimed, giving backpressure instead of unbounded
-    /// buffering. Clamped to at least the worker count.
+    /// Bounds admission: at most this many jobs are accepted and not yet
+    /// finished (queued + executing). [`run_batch`] waits on its oldest
+    /// outstanding job when the bound is reached; [`BatchDispatcher`]
+    /// refuses with [`AdmissionError::Saturated`]. Clamped to at least
+    /// the worker count.
     pub fn max_in_flight(mut self, max_in_flight: usize) -> BatchOptions {
         self.max_in_flight = max_in_flight.max(1).max(self.workers);
         self
@@ -257,7 +243,7 @@ impl BatchOptions {
         self.workers
     }
 
-    /// The configured queue bound.
+    /// The configured admission bound.
     pub fn in_flight_bound(&self) -> usize {
         self.max_in_flight
     }
@@ -286,32 +272,9 @@ impl BatchOptions {
         &self.config
     }
 
-    /// Turns on audit mode for every job: each worker re-derives the
-    /// stage invariants after idealize, solve, and contour, the time
-    /// lands in `audit.*` spans of the merged [`PerfReport`], and the
-    /// check/violation totals land in the `audit.checks` /
-    /// `audit.violations` counters. Off by default.
-    #[deprecated(since = "0.3.0", note = "use `config(SessionConfig::new().audit(..))`")]
-    pub fn audit(mut self, options: AuditOptions) -> BatchOptions {
-        self.config.audit = Some(options);
-        self
-    }
-
     /// The configured audit options, if audit mode is on.
     pub fn audit_options(&self) -> Option<&AuditOptions> {
         self.config.audit_options()
-    }
-
-    /// Turns on the static lint pass for every job: each deck is
-    /// analyzed before it is parsed into the pipeline, the time lands in
-    /// the `lint.deck` span of the merged [`PerfReport`], the diagnostic
-    /// totals land in the `lint.diagnostics` / `lint.denied` counters,
-    /// and a deck with deny-severity diagnostics fails with a
-    /// [`StageError::Lint`] at deck-parse stage. Off by default.
-    #[deprecated(since = "0.3.0", note = "use `config(SessionConfig::new().lint(..))`")]
-    pub fn lint(mut self, config: LintConfig) -> BatchOptions {
-        self.config.lint = Some(config);
-        self
     }
 
     /// The configured lint severities, if lint mode is on.
@@ -319,51 +282,14 @@ impl BatchOptions {
         self.config.lint_options()
     }
 
-    /// Sets the capability mode every job's session runs under (default:
-    /// [`Capability::Historical`], the paper's Table 2 card limits).
-    /// [`Capability::LargeMesh`] lifts the limits for decks beyond the
-    /// 1970 hardware ceiling.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().capability(..))`"
-    )]
-    pub fn capability(mut self, capability: Capability) -> BatchOptions {
-        self.config.capability = capability;
-        self
-    }
-
     /// The configured capability mode.
     pub fn capability_mode(&self) -> Capability {
         self.config.capability_mode()
     }
 
-    /// Sets the solver backend every job solves with (default:
-    /// [`SolverBackend::Band`], the paper-faithful path). See
-    /// `docs/SOLVERS.md` for the selection guide.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().solver(..))`"
-    )]
-    pub fn solver(mut self, solver: SolverBackend) -> BatchOptions {
-        self.config.solver = solver;
-        self
-    }
-
     /// The configured solver backend.
     pub fn solver_backend(&self) -> SolverBackend {
         self.config.solver_backend()
-    }
-
-    /// Sets the conjugate-gradient options every job solves with when
-    /// the backend is [`SolverBackend::SparseCg`] (default:
-    /// [`CgOptions::new`]). Ignored by the direct backends.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().cg_options(..))`"
-    )]
-    pub fn cg_options(mut self, cg: CgOptions) -> BatchOptions {
-        self.config.cg = cg;
-        self
     }
 
     /// The configured conjugate-gradient options.
@@ -466,136 +392,6 @@ pub const STAGE_SPANS: [&str; 6] = [
     "batch.contour",
 ];
 
-/// A worker's private per-stage accumulator; merged across workers at
-/// the end of the run.
-struct StageClock {
-    report: PerfReport,
-}
-
-impl StageClock {
-    fn new() -> StageClock {
-        StageClock {
-            report: PerfReport::default(),
-        }
-    }
-
-    fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        match self
-            .report
-            .spans
-            .iter_mut()
-            .find(|s| s.name == name && s.depth == 1)
-        {
-            Some(span) => span.nanos = span.nanos.saturating_add(nanos),
-            None => self.report.spans.push(SpanRecord {
-                name: name.to_owned(),
-                depth: 1,
-                nanos,
-            }),
-        }
-        out
-    }
-
-    /// Accumulates into a named counter; merged across workers by
-    /// [`PerfReport::merge`]'s by-name summation.
-    fn count(&mut self, name: &str, add: u64) {
-        match self.report.counters.iter_mut().find(|c| c.name == name) {
-            Some(counter) => counter.value = counter.value.saturating_add(add),
-            None => self.report.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: add,
-            }),
-        }
-    }
-}
-
-/// The bounded job queue: indexes into the submitted job slice, plus the
-/// close/abort flags, under one mutex with two condvars (producer waits
-/// for space, workers wait for work).
-struct JobQueue {
-    state: Mutex<QueueState>,
-    space: Condvar,
-    ready: Condvar,
-    capacity: usize,
-}
-
-struct QueueState {
-    queue: VecDeque<usize>,
-    closed: bool,
-    aborted: bool,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> JobQueue {
-        JobQueue {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                closed: false,
-                aborted: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks until there is queue space (backpressure), then enqueues.
-    /// Returns `false` without enqueuing once the queue is aborted.
-    fn push(&self, index: usize) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.queue.len() >= self.capacity && !state.aborted {
-            state = self
-                .space
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        if state.aborted {
-            return false;
-        }
-        state.queue.push_back(index);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks until a job is available; `None` once the queue is closed
-    /// (or aborted) and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(index) = state.queue.pop_front() {
-                self.space.notify_one();
-                return Some(index);
-            }
-            if state.closed || state.aborted {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// No more jobs will be pushed; drains normally.
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Fail-fast trip: unblocks the producer and stops handing out the
-    /// jobs still queued (they are reported as skipped).
-    fn abort(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.aborted = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-}
-
 /// Runs one job through the staged pipeline, attributing wall-clock time
 /// to each stage on the worker's private clock.
 ///
@@ -605,7 +401,7 @@ impl JobQueue {
 /// against.
 fn execute(
     job: &BatchJob,
-    clock: &mut StageClock,
+    clock: &mut LocalClock,
     options: &BatchOptions,
 ) -> Result<Vec<StressPlot>, PipelineError> {
     let audit = options.config.audit_options();
@@ -716,152 +512,98 @@ fn execute(
 /// the outcomes in submission order, with a merged per-stage
 /// [`PerfReport`].
 ///
+/// The pool is a private [`BatchDispatcher`] with
+/// `workers.min(jobs.len())` workers. Jobs are submitted in order; when
+/// the dispatcher answers [`AdmissionError::Saturated`], the driver waits
+/// on its oldest outstanding job, which is the backpressure. Under
+/// [`ErrorPolicy::FailFast`] it stops submitting once it sees a failure,
+/// and the jobs it never submitted report [`JobOutcome::Skipped`]. A job
+/// that panics stops submission too; the panic resumes here once the
+/// dispatcher has drained.
+///
 /// Multi-worker runs are bit-identical to single-worker runs: jobs are
 /// independent, every stage is deterministic, and outcome slots are
 /// indexed by submission order. Under [`ErrorPolicy::FailFast`] the set
-/// of *skipped* jobs depends on timing (jobs already claimed when the
-/// first failure lands still finish), but every non-skipped outcome is
-/// still deterministic.
+/// of *skipped* jobs depends on timing (how many jobs were admitted when
+/// the first failure is seen), but every non-skipped outcome is still
+/// deterministic.
 pub fn run_batch(jobs: &[BatchJob], options: &BatchOptions) -> BatchReport {
     let start = Instant::now();
-    let workers = options.workers.max(1).min(jobs.len().max(1));
-    let queue = JobQueue::new(options.max_in_flight);
-    let abort = AtomicBool::new(false);
     let fail_fast = options.policy == ErrorPolicy::FailFast;
-    let slots: Vec<Mutex<Option<JobOutcome>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    let worker_reports: Mutex<Vec<PerfReport>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut clock = StageClock::new();
-                while let Some(index) = queue.pop() {
-                    if fail_fast && abort.load(Ordering::Relaxed) {
-                        // Claimed after the trip: never started.
-                        *slots[index].lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some(JobOutcome::Skipped);
-                        continue;
-                    }
-                    let outcome = match execute(&jobs[index], &mut clock, options) {
-                        Ok(plots) => JobOutcome::Completed(plots),
-                        Err(err) => {
-                            if matches!(err.source_error(), StageError::Audit(_)) {
-                                clock.count("audit.violations", 1);
-                            }
-                            if fail_fast {
-                                abort.store(true, Ordering::Relaxed);
-                                queue.abort();
-                            }
-                            JobOutcome::Failed(err)
-                        }
-                    };
-                    *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                }
-                worker_reports
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(clock.report);
-            });
+    let dispatcher =
+        BatchDispatcher::start(options.clone().workers(options.workers.min(jobs.len())));
+    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+    let mut pending: VecDeque<(usize, JobTicket)> = VecDeque::new();
+    let mut panic = None;
+    // Files one finished job into its submission-order slot; true when
+    // submission must stop: a failure under fail-fast, or a panic, whose
+    // payload resumes after the drain.
+    let mut settle = |(index, ticket): (usize, JobTicket)| match ticket.wait_result() {
+        Ok(outcome) => {
+            let stop = fail_fast && matches!(outcome, JobOutcome::Failed(_));
+            outcomes[index] = Some(outcome);
+            stop
         }
-        // This thread is the submitter: the bounded push gives
-        // backpressure against the pool.
-        for index in 0..jobs.len() {
-            if fail_fast && abort.load(Ordering::Relaxed) {
-                break;
+        Err(payload) => {
+            panic.get_or_insert(payload);
+            true
+        }
+    };
+    let mut stop = false;
+    let mut next = 0;
+    while next < jobs.len() && !stop {
+        match dispatcher.submit(jobs[next].clone()) {
+            Ok(ticket) => {
+                pending.push_back((next, ticket));
+                next += 1;
             }
-            if !queue.push(index) {
-                break;
+            Err(_) => {
+                // invariant: only this driver submits, and a finished job
+                // frees its slot before its ticket resolves, so a
+                // saturated dispatcher holds at least one pending ticket.
+                stop = settle(pending.pop_front().expect("saturated with no pending job"));
             }
         }
-        queue.close();
-    });
-
-    let outcomes: Vec<JobOutcome> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or(JobOutcome::Skipped)
-        })
-        .collect();
+    }
+    for entry in pending {
+        settle(entry);
+    }
+    let mut perf = dispatcher.drain();
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
 
     let elapsed = start.elapsed();
-    // Seed the merged report with the canonical stage layout so the JSON
-    // is stable regardless of which worker report lands first.
-    let mut perf = PerfReport::default();
-    perf.spans.push(SpanRecord {
-        name: "batch.total".to_owned(),
-        depth: 0,
-        nanos: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-    });
-    for name in STAGE_SPANS {
-        perf.spans.push(SpanRecord {
-            name: name.to_owned(),
-            depth: 1,
-            nanos: 0,
-        });
-    }
-    if options.config.audit.is_some() {
-        for name in ["audit.idealize", "audit.solve", "audit.contour"] {
-            perf.spans.push(SpanRecord {
-                name: name.to_owned(),
-                depth: 1,
-                nanos: 0,
-            });
-        }
-        for name in ["audit.checks", "audit.violations"] {
-            perf.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: 0,
-            });
-        }
-    }
-    if options.config.lint.is_some() {
-        perf.spans.push(SpanRecord {
-            name: "lint.deck".to_owned(),
-            depth: 1,
-            nanos: 0,
-        });
-        for name in ["lint.diagnostics", "lint.denied"] {
-            perf.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: 0,
-            });
-        }
-    }
-    for report in worker_reports.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        perf.merge(&report);
-    }
-
+    perf.spans.insert(
+        0,
+        SpanRecord {
+            name: "batch.total".to_owned(),
+            depth: 0,
+            nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+        },
+    );
     let mut report = BatchReport {
-        outcomes,
+        outcomes: outcomes
+            .into_iter()
+            .map(|outcome| outcome.unwrap_or(JobOutcome::Skipped))
+            .collect(),
         perf,
         elapsed,
     };
-    let jobs_per_sec_milli = (report.jobs_per_sec() * 1000.0).round();
-    let jobs_per_sec_milli = if jobs_per_sec_milli.is_finite() && jobs_per_sec_milli >= 0.0 {
-        jobs_per_sec_milli as u64
-    } else {
-        0
-    };
-    let counters = [
-        ("batch.jobs", jobs.len() as u64),
-        ("batch.completed", report.completed() as u64),
-        ("batch.failed", report.failed() as u64),
-        ("batch.skipped", report.skipped() as u64),
-        ("batch.workers", workers as u64),
+    // `as` saturates, so the float-to-integer conversion cannot wrap.
+    let jobs_per_sec_milli = (report.jobs_per_sec() * 1000.0).round() as u64;
+    let skipped = report.skipped() as u64;
+    for (name, value) in [
+        // The dispatcher counted the jobs it accepted; the skipped ones
+        // were never submitted.
+        ("batch.jobs", skipped),
+        ("batch.skipped", skipped),
         // Millijobs per second: an integer counter with enough
         // resolution for slow corpora (1 job / 20 min ≈ 0.8 mJ/s).
         ("batch.jobs_per_sec_milli", jobs_per_sec_milli),
-    ];
-    for (name, value) in counters {
-        report.perf.counters.push(cafemio_instrument::CounterRecord {
-            name: name.to_owned(),
-            value,
-        });
+    ] {
+        report.perf.add_counter(name, value);
     }
-    append_cache_counters(&mut report.perf, &options.config);
     report
 }
 
@@ -910,35 +652,46 @@ pub struct JobTicket {
 
 #[derive(Debug)]
 struct TicketShared {
-    slot: Mutex<Option<JobOutcome>>,
+    /// The job's outcome, or the payload of a panic inside it.
+    slot: Mutex<Option<thread::Result<JobOutcome>>>,
     done: Condvar,
 }
 
 impl JobTicket {
     /// Blocks until the job finishes and returns its outcome. Consumes
-    /// the ticket: one accepted job, one response.
+    /// the ticket: one accepted job, one response. A panic inside the
+    /// job (say, in its setup callback) resumes here.
     pub fn wait(self) -> JobOutcome {
-        let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
+        self.wait_result()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    fn wait_result(self) -> thread::Result<JobOutcome> {
+        let mut slot = lock(&self.shared.slot);
         loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
+            if let Some(result) = slot.take() {
+                return result;
             }
             slot = self
                 .shared
                 .done
                 .wait(slot)
-                .unwrap_or_else(|e| e.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// The outcome, if the job has already finished (non-blocking).
+    /// The outcome, if the job has already finished (non-blocking). A
+    /// panic inside the job resumes here.
     pub fn try_take(&self) -> Option<JobOutcome> {
-        self.shared
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
+        let result = lock(&self.shared.slot).take();
+        result.map(|result| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
     }
+}
+
+/// Locks `mutex`, recovering the data if a holder panicked: every
+/// critical section here leaves its state consistent.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct DispatcherState {
@@ -980,11 +733,7 @@ impl BatchClient {
     /// [`BatchOptions::max_in_flight`].
     pub fn submit(&self, job: BatchJob) -> Result<JobTicket, AdmissionError> {
         let capacity = self.shared.options.max_in_flight;
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut state = lock(&self.shared.state);
         if state.closed {
             return Err(AdmissionError::Draining);
         }
@@ -1007,11 +756,7 @@ impl BatchClient {
 
     /// Jobs accepted and not yet finished (queued + executing).
     pub fn in_flight(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .in_flight
+        lock(&self.shared.state).in_flight
     }
 
     /// The admission bound ([`BatchOptions::max_in_flight`]).
@@ -1021,40 +766,29 @@ impl BatchClient {
 
     /// Total jobs ever accepted.
     pub fn accepted(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .accepted
+        lock(&self.shared.state).accepted
     }
 
     /// Whether [`BatchDispatcher::drain`] has been called.
     pub fn is_draining(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .closed
+        lock(&self.shared.state).closed
     }
 }
 
-/// A **persistent** batch engine: the same worker pool, error typing,
-/// and per-stage accounting as [`run_batch`], but accepting jobs one at
-/// a time for as long as the dispatcher lives — the shape a long-running
-/// service needs.
-///
-/// Differences from [`run_batch`]:
+/// The batch engine: a persistent worker pool accepting jobs one at a
+/// time for as long as the dispatcher lives — the shape a long-running
+/// service needs, and the pool [`run_batch`] drives.
 ///
 /// * **admission control is non-blocking** — [`submit`](Self::submit)
-///   refuses with [`AdmissionError::Saturated`] instead of applying
-///   backpressure by blocking, so a front end can answer "try later"
-///   immediately;
+///   refuses with [`AdmissionError::Saturated`] once
+///   [`BatchOptions::max_in_flight`] jobs are queued or executing, so a
+///   front end can answer "try later" immediately;
 /// * **results are per-job** — each accepted job yields a [`JobTicket`]
 ///   resolving to exactly one [`JobOutcome`];
 /// * **the error policy is ignored** — jobs are independent requests,
 ///   so [`ErrorPolicy::FailFast`] would make one caller's bad deck
-///   cancel another caller's good one. Every job runs
-///   ([`ErrorPolicy::CollectAll`] semantics).
+///   cancel another caller's good one. Every accepted job runs;
+///   [`run_batch`] applies fail-fast by not submitting.
 ///
 /// [`drain`](Self::drain) is the graceful shutdown: admission closes,
 /// every already-accepted job still runs to completion and resolves its
@@ -1154,82 +888,44 @@ impl BatchDispatcher {
     /// Graceful shutdown: closes admission (subsequent submissions get
     /// [`AdmissionError::Draining`]), lets every accepted job run to
     /// completion and resolve its ticket, joins the workers, and returns
-    /// their merged per-stage [`PerfReport`] with the same span/counter
-    /// layout as [`run_batch`] (minus `batch.total`, which belongs to
-    /// the caller's clock).
+    /// their merged per-stage [`PerfReport`]: the [`STAGE_SPANS`] (plus
+    /// the `audit.*`/`lint.*` layout when enabled) and the `batch.*`
+    /// counters, seeded so the layout is stable whichever worker
+    /// finished first. [`run_batch`] adds `batch.total` and its
+    /// run-level counters on top.
     pub fn drain(self) -> PerfReport {
-        {
-            let mut state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            state.closed = true;
-            self.shared.ready.notify_all();
-        }
+        lock(&self.shared.state).closed = true;
+        self.shared.ready.notify_all();
+        let config = &self.shared.options.config;
         let mut perf = PerfReport::default();
-        for name in STAGE_SPANS {
-            perf.spans.push(SpanRecord {
-                name: name.to_owned(),
-                depth: 1,
-                nanos: 0,
-            });
+        let mut seed_spans = STAGE_SPANS.to_vec();
+        let mut seed_counters = vec!["batch.completed", "batch.failed"];
+        if config.audit.is_some() {
+            seed_spans.extend(["audit.idealize", "audit.solve", "audit.contour"]);
+            seed_counters.extend(["audit.checks", "audit.violations"]);
         }
-        for name in ["batch.completed", "batch.failed"] {
-            perf.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: 0,
-            });
+        if config.lint.is_some() {
+            seed_spans.push("lint.deck");
+            seed_counters.extend(["lint.diagnostics", "lint.denied"]);
         }
-        if self.shared.options.config.audit.is_some() {
-            for name in ["audit.idealize", "audit.solve", "audit.contour"] {
-                perf.spans.push(SpanRecord {
-                    name: name.to_owned(),
-                    depth: 1,
-                    nanos: 0,
-                });
-            }
-            for name in ["audit.checks", "audit.violations"] {
-                perf.counters.push(CounterRecord {
-                    name: name.to_owned(),
-                    value: 0,
-                });
-            }
+        for name in seed_spans {
+            perf.add_span(name, 1, 0);
         }
-        if self.shared.options.config.lint.is_some() {
-            perf.spans.push(SpanRecord {
-                name: "lint.deck".to_owned(),
-                depth: 1,
-                nanos: 0,
-            });
-            for name in ["lint.diagnostics", "lint.denied"] {
-                perf.counters.push(CounterRecord {
-                    name: name.to_owned(),
-                    value: 0,
-                });
-            }
+        for name in seed_counters {
+            perf.add_counter(name, 0);
         }
         for worker in self.workers {
-            // invariant: `execute` is panic-free on user input (the PR-2
-            // guarantee), so a worker thread never dies mid-job.
+            // invariant: worker_loop catches a panicking job and hands
+            // the payload to its ticket, so a worker never dies.
             let report = worker.join().expect("batch worker never panics");
             perf.merge(&report);
         }
-        let accepted = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .accepted;
-        perf.counters.push(CounterRecord {
-            name: "batch.jobs".to_owned(),
-            value: accepted,
-        });
-        perf.counters.push(CounterRecord {
-            name: "batch.workers".to_owned(),
-            value: self.shared.options.workers.max(1) as u64,
-        });
-        append_cache_counters(&mut perf, &self.shared.options.config);
+        let accepted = lock(&self.shared.state).accepted;
+        perf.add_counter("batch.jobs", accepted);
+        perf.add_counter("batch.workers", self.shared.options.workers.max(1) as u64);
+        if let Some(store) = config.cache_store() {
+            store.stats().append_counters(&mut perf);
+        }
         perf
     }
 }
@@ -1238,24 +934,23 @@ impl BatchDispatcher {
 /// when the dispatcher is draining **and** the queue is empty, so every
 /// accepted job resolves its ticket exactly once.
 fn worker_loop(shared: &DispatcherShared) -> PerfReport {
-    let mut clock = StageClock::new();
+    let mut clock = LocalClock::at_depth(1);
     loop {
-        let (job, ticket) = {
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(entry) = state.queue.pop_front() {
-                    break entry;
-                }
-                if state.closed {
-                    return clock.report;
-                }
-                state = shared
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+        let claimed = shared
+            .ready
+            .wait_while(lock(&shared.state), |state| {
+                state.queue.is_empty() && !state.closed
+            })
+            .unwrap_or_else(PoisonError::into_inner)
+            .queue
+            .pop_front();
+        let Some((job, ticket)) = claimed else {
+            return clock.into_report();
         };
-        let outcome = match execute(&job, &mut clock, &shared.options) {
+        let executed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            execute(&job, &mut clock, &shared.options)
+        }));
+        let result = executed.map(|executed| match executed {
             Ok(plots) => {
                 clock.count("batch.completed", 1);
                 JobOutcome::Completed(plots)
@@ -1267,18 +962,13 @@ fn worker_loop(shared: &DispatcherShared) -> PerfReport {
                 clock.count("batch.failed", 1);
                 JobOutcome::Failed(err)
             }
-        };
+        });
         // Free the admission slot before publishing, so a caller woken
         // by its ticket never observes its own finished job still
         // counted in flight.
-        {
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.in_flight -= 1;
-        }
-        let mut slot = ticket.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(outcome);
+        lock(&shared.state).in_flight -= 1;
+        *lock(&ticket.slot) = Some(result);
         ticket.done.notify_all();
-        drop(slot);
     }
 }
 
@@ -1630,5 +1320,33 @@ mod tests {
             err.source_error(),
             StageError::Fem(FemError::CgNoConvergence { .. })
         ));
+    }
+
+    fn panicking_setup(_: &TriMesh) -> Result<FemModel, FemError> {
+        panic!("setup exploded")
+    }
+
+    #[test]
+    fn a_panicking_job_resumes_in_the_run_batch_caller() {
+        let mut jobs = plate_jobs(3);
+        jobs.insert(1, BatchJob::new("panics", PLATE_DECK, panicking_setup));
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_batch(&jobs, &BatchOptions::new().workers(2))
+        }));
+        let payload = caught.expect_err("the job's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"setup exploded"));
+    }
+
+    #[test]
+    fn a_dispatcher_worker_survives_a_panicking_job() {
+        let dispatcher = BatchDispatcher::start(BatchOptions::new().workers(1));
+        let ticket = dispatcher
+            .submit(BatchJob::new("panics", PLATE_DECK, panicking_setup))
+            .expect("admitted");
+        assert!(std::panic::catch_unwind(AssertUnwindSafe(|| ticket.wait())).is_err());
+        let ticket = dispatcher.submit(plate_jobs(1).remove(0)).expect("admitted");
+        assert!(ticket.wait().plots().is_some());
+        let perf = dispatcher.drain();
+        assert_eq!(perf.counter("batch.completed"), Some(1));
     }
 }

@@ -46,12 +46,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod clock;
 mod json;
 pub mod names;
 pub mod par;
 mod report;
 mod span;
 
+pub use clock::LocalClock;
 pub use report::{CounterRecord, PerfReport, ReportError, SpanRecord};
 pub use span::{
     active_spans, counter, is_enabled, set_enabled, span, take_report, ActiveSpan, Span,

@@ -2,9 +2,10 @@
 //! workspace is allowed to emit.
 //!
 //! `srclint` extracts every name literal passed to an emission site
-//! (`span("..")`, `counter("..")`, and the request-clock `.time("..")` /
-//! `.count("..")` methods) from non-test library code and checks it
-//! against this registry — an unregistered name fails CI, and so does a
+//! (`span("..")`, `counter("..")`, and the
+//! [`LocalClock`](crate::LocalClock) `.time("..")` / `.count("..")`
+//! methods) from non-test library code and checks it against this
+//! registry — an unregistered name fails CI, and so does a
 //! registered name nothing emits. The registry is therefore the single
 //! place a new telemetry name is minted, and dashboards built on these
 //! names cannot silently rot when a span is renamed or dropped.
@@ -54,7 +55,6 @@ pub const SPANS: &[&str] = &[
     "pipeline.model_setup",
     "pipeline.parse",
     "pipeline.solve",
-    "pipeline.solve_and_contour",
     "pipeline.stress_recovery",
     "pipeline.total",
     "serve.accept",

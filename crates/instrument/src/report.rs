@@ -80,22 +80,39 @@ impl PerfReport {
     /// merging *sums*, because two workers' job counts are additive.
     pub fn merge(&mut self, other: &PerfReport) {
         for span in &other.spans {
-            match self
-                .spans
-                .iter_mut()
-                .find(|s| s.name == span.name && s.depth == span.depth)
-            {
-                Some(existing) => existing.nanos = existing.nanos.saturating_add(span.nanos),
-                None => self.spans.push(span.clone()),
-            }
+            self.add_span(&span.name, span.depth, span.nanos);
         }
         for counter in &other.counters {
-            match self.counters.iter_mut().find(|c| c.name == counter.name) {
-                Some(existing) => {
-                    existing.value = existing.value.saturating_add(counter.value);
-                }
-                None => self.counters.push(counter.clone()),
-            }
+            self.add_counter(&counter.name, counter.value);
+        }
+    }
+
+    /// Adds `nanos` to the span record `(name, depth)`, appending the
+    /// record when it is absent. Seeding a name with `0` fixes its place
+    /// in the layout before any worker reports land.
+    pub fn add_span(&mut self, name: &str, depth: u32, nanos: u64) {
+        match self
+            .spans
+            .iter_mut()
+            .find(|s| s.name == name && s.depth == depth)
+        {
+            Some(existing) => existing.nanos = existing.nanos.saturating_add(nanos),
+            None => self.spans.push(SpanRecord {
+                name: name.to_owned(),
+                depth,
+                nanos,
+            }),
+        }
+    }
+
+    /// Adds `value` to the counter `name`, appending it when absent.
+    pub fn add_counter(&mut self, name: &str, value: u64) {
+        match self.counters.iter_mut().find(|c| c.name == name) {
+            Some(existing) => existing.value = existing.value.saturating_add(value),
+            None => self.counters.push(CounterRecord {
+                name: name.to_owned(),
+                value,
+            }),
         }
     }
 

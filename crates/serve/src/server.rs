@@ -30,12 +30,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cafemio::batch::{BatchDispatcher, BatchJob, BatchOptions, JobOutcome, SetupFn};
 use cafemio::cache::{CacheKey, CacheStage, StableHasher, StageCache};
 use cafemio::fem::{AnalysisKind, FemError, FemModel, Material};
-use cafemio::instrument::{CounterRecord, PerfReport, SpanRecord};
+use cafemio::instrument::{LocalClock, PerfReport};
 use cafemio::lint::LintConfig;
 use cafemio::mesh::TriMesh;
 use cafemio::pipeline::{PipelineBuilder, StressComponent};
@@ -190,45 +190,6 @@ impl ServeOptions {
     }
 }
 
-/// A per-request clock accumulating `serve.*` spans and counters into a
-/// private report, merged into the shared metrics once per connection so
-/// the hot path takes the metrics lock exactly once.
-#[derive(Default)]
-struct RequestClock {
-    report: PerfReport,
-}
-
-impl RequestClock {
-    fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let value = f();
-        // Clamp to >= 1 ns so a recorded span is always distinguishable
-        // from a seeded zero span in the drained report.
-        let nanos = u64::try_from(start.elapsed().as_nanos())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        match self.report.spans.iter_mut().find(|s| s.name == name) {
-            Some(span) => span.nanos = span.nanos.saturating_add(nanos),
-            None => self.report.spans.push(SpanRecord {
-                name: name.to_string(),
-                depth: 0,
-                nanos,
-            }),
-        }
-        value
-    }
-
-    fn count(&mut self, name: &str, by: u64) {
-        match self.report.counters.iter_mut().find(|c| c.name == name) {
-            Some(counter) => counter.value = counter.value.saturating_add(by),
-            None => self.report.counters.push(CounterRecord {
-                name: name.to_string(),
-                value: by,
-            }),
-        }
-    }
-}
-
 /// State shared by the accept loop, every connection thread, and the
 /// drain path.
 struct ServeShared {
@@ -252,9 +213,11 @@ struct ServeShared {
 }
 
 impl ServeShared {
-    fn merge_metrics(&self, clock: RequestClock) {
+    /// Folds one connection's private `serve.*` clock into the shared
+    /// metrics: the hot path takes the metrics lock exactly once.
+    fn merge_metrics(&self, clock: LocalClock) {
         let mut metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        metrics.merge(&clock.report);
+        metrics.merge(&clock.into_report());
     }
 }
 
@@ -380,23 +343,14 @@ impl Server {
 /// The zero-valued `serve.*` skeleton every drained report starts from,
 /// so quiet servers still emit the full span/counter layout.
 fn seeded_serve_report() -> PerfReport {
-    PerfReport {
-        spans: SERVE_SPANS
-            .iter()
-            .map(|name| SpanRecord {
-                name: name.to_string(),
-                depth: 0,
-                nanos: 0,
-            })
-            .collect(),
-        counters: SERVE_COUNTERS
-            .iter()
-            .map(|name| CounterRecord {
-                name: name.to_string(),
-                value: 0,
-            })
-            .collect(),
+    let mut report = PerfReport::default();
+    for name in SERVE_SPANS {
+        report.add_span(name, 0, 0);
     }
+    for name in SERVE_COUNTERS {
+        report.add_counter(name, 0);
+    }
+    report
 }
 
 fn begin_shutdown(shared: &ServeShared) {
@@ -424,7 +378,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) -> Vec<JoinHandl
         match accepted {
             Ok((stream, _)) => {
                 connections.retain(|handle| !handle.is_finished());
-                let mut clock = RequestClock::default();
+                let mut clock = LocalClock::at_depth(0);
                 let conn_shared = Arc::clone(&shared);
                 let handle = clock.time("serve.accept", || {
                     std::thread::spawn(move || handle_connection(stream, conn_shared))
@@ -441,7 +395,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) -> Vec<JoinHandl
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<ServeShared>) {
-    let mut clock = RequestClock::default();
+    let mut clock = LocalClock::at_depth(0);
     clock.count("serve.requests", 1);
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     respond(&stream, &shared, &mut clock);
@@ -451,7 +405,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServeShared>) {
 /// Reads, routes, and answers one request. Every protocol or pipeline
 /// failure becomes a typed response; only a vanished peer ends the
 /// exchange without one.
-fn respond(stream: &TcpStream, shared: &ServeShared, clock: &mut RequestClock) {
+fn respond(stream: &TcpStream, shared: &ServeShared, clock: &mut LocalClock) {
     let parsed = clock.time("serve.parse", || {
         let mut reader = BufReader::new(stream);
         http::read_request(&mut reader, shared.max_body_bytes)
@@ -494,7 +448,7 @@ type ExtraHeaders = Vec<(String, String)>;
 fn route(
     request: &Request,
     shared: &ServeShared,
-    clock: &mut RequestClock,
+    clock: &mut LocalClock,
 ) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
     if request.method == "POST" && matches!(request.path.as_str(), "/analyze" | "/contour") {
         return analyze(request, shared, clock);
@@ -514,19 +468,7 @@ fn route(
             // Cache effectiveness rides along: store totals at snapshot
             // time, so operators can watch the hit rate climb.
             if let Some(store) = &shared.cache {
-                let stats = store.stats();
-                for (name, value) in [
-                    ("cache.hits", stats.hits),
-                    ("cache.misses", stats.misses),
-                    ("cache.evictions", stats.evictions),
-                    ("cache.bytes", stats.bytes),
-                    ("cache.entries", stats.entries as u64),
-                ] {
-                    metrics.counters.push(CounterRecord {
-                        name: name.to_string(),
-                        value,
-                    });
-                }
+                store.stats().append_counters(&mut metrics);
             }
             (200, "application/json", metrics.to_json().into_bytes())
         }
@@ -567,7 +509,7 @@ fn route(
 fn lint_endpoint(
     request: &Request,
     shared: &ServeShared,
-    clock: &mut RequestClock,
+    clock: &mut LocalClock,
 ) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
     use cafemio::lint::{apply_fixes, DeckKind, FixError, LintError};
 
@@ -642,7 +584,7 @@ fn health_body(shared: &ServeShared) -> String {
 fn analyze(
     request: &Request,
     shared: &ServeShared,
-    clock: &mut RequestClock,
+    clock: &mut LocalClock,
 ) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
     let cache_header = |outcome: &str| vec![("X-Cafemio-Cache".to_string(), outcome.to_string())];
     let Some(store) = shared.cache.as_ref() else {
@@ -683,7 +625,7 @@ fn response_key(request: &Request, shared: &ServeShared) -> CacheKey {
 fn analyze_uncached(
     request: &Request,
     shared: &ServeShared,
-    clock: &mut RequestClock,
+    clock: &mut LocalClock,
 ) -> (u16, &'static str, Vec<u8>) {
     let deck = match std::str::from_utf8(&request.body) {
         Ok(text) => text.to_string(),
@@ -800,17 +742,5 @@ mod tests {
             .max_body_bytes(0);
         assert!(options.read_timeout_value() >= Duration::from_millis(1));
         assert_eq!(options.max_body_limit(), 1);
-    }
-
-    #[test]
-    fn request_clock_merges_repeated_spans_and_counts() {
-        let mut clock = RequestClock::default();
-        clock.time("serve.parse", || {});
-        clock.time("serve.parse", || {});
-        clock.count("serve.requests", 1);
-        clock.count("serve.requests", 1);
-        assert_eq!(clock.report.spans.len(), 1);
-        assert!(clock.report.spans[0].nanos >= 2);
-        assert_eq!(clock.report.counter("serve.requests"), Some(2));
     }
 }

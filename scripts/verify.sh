@@ -23,6 +23,8 @@
 #   large_mesh  100k-element sparse-CG smoke + BENCH_sparse.json
 #   serve   deck service under concurrent load + BENCH_serve.json
 #   cache   edit-replay stage-cache bench (warm ≡ cold) + BENCH_cache.json
+#   benchmark  the repository benchmark package's own tests, so an API
+#              change that breaks benchmark/ fails here
 #
 # Every bench-producing stage finishes by running the consolidated
 # bench_validate gate on its artifact.
@@ -114,9 +116,14 @@ run_cache() {
   validate_artifact BENCH_cache.json
 }
 
+run_benchmark() {
+  echo "== benchmark package (builds against the library crates by path)"
+  cargo test --locked --offline --manifest-path benchmark/Cargo.toml
+}
+
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
-  stages=(build test doc clippy fuzz bench batch audit lint lint-fix large_mesh serve cache)
+  stages=(build test doc clippy fuzz bench batch audit lint lint-fix large_mesh serve cache benchmark)
 fi
 
 for stage in "${stages[@]}"; do
@@ -134,6 +141,7 @@ for stage in "${stages[@]}"; do
     large_mesh) run_large_mesh ;;
     serve) run_serve ;;
     cache) run_cache ;;
+    benchmark) run_benchmark ;;
     *)
       echo "verify: unknown stage '$stage'" >&2
       exit 2

@@ -33,10 +33,22 @@ fn multi_worker_runs_are_bit_identical_to_single_worker() {
     let serial = run_batch(&jobs, &BatchOptions::new().workers(1));
     assert_eq!(serial.completed(), jobs.len(), "corpus must complete");
     let reference = fingerprint(&serial);
-    for workers in [2, 4, 8] {
-        let parallel = run_batch(&jobs, &BatchOptions::new().workers(workers));
-        assert_eq!(serial.outcomes, parallel.outcomes, "{workers} workers");
-        assert_eq!(reference, fingerprint(&parallel), "{workers} workers");
+    for options in [
+        BatchOptions::new().workers(2),
+        BatchOptions::new().workers(4),
+        BatchOptions::new().workers(8),
+        // The bound clamps to the worker count, which is below the corpus
+        // size: the driver keeps waiting on its oldest outstanding job.
+        BatchOptions::new().workers(4).max_in_flight(1),
+    ] {
+        let label = format!(
+            "{} workers, {} in flight",
+            options.worker_count(),
+            options.in_flight_bound()
+        );
+        let parallel = run_batch(&jobs, &options);
+        assert_eq!(serial.outcomes, parallel.outcomes, "{label}");
+        assert_eq!(reference, fingerprint(&parallel), "{label}");
         assert_eq!(
             parallel.perf.counter("batch.completed"),
             Some(jobs.len() as u64)

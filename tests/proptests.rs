@@ -3,54 +3,32 @@
 //!
 //! The workspace builds with no external dependencies, so instead of a
 //! property-testing framework these run each property over a few hundred
-//! cases drawn from a seeded [`Rng`] — deterministic run to run, with the
-//! failing case's inputs printed by the assertion messages.
+//! cases drawn from a seeded [`SplitMix64`] — deterministic run to run,
+//! with the failing case's inputs printed by the assertion messages.
 
 use cafemio::cards::{Field, Format, FormatReader, FormatWriter};
 use cafemio::geom::{Arc, Point, Segment, Triangle};
 use cafemio::idlz::reform_elements;
 use cafemio::mesh::{cuthill_mckee, BoundaryKind, NodalField, TriMesh};
 use cafemio::ospl::{automatic_interval, contour_levels, extract_isograms};
+use cafemio_bench::mutate::SplitMix64;
 
-/// SplitMix64: tiny, seedable, and plenty random for test-case generation.
-struct Rng(u64);
+/// Uniform integer in `[lo, hi]`.
+fn i64_in(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    let span = (hi - lo + 1) as u64;
+    lo + (rng.next_u64() % span) as i64
+}
 
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed)
-    }
+fn usize_in(rng: &mut SplitMix64, lo: usize, hi: usize) -> usize {
+    i64_in(rng, lo as i64, hi as i64) as usize
+}
 
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+fn coin(rng: &mut SplitMix64) -> bool {
+    rng.next_u64() & 1 == 1
+}
 
-    /// Uniform in `[lo, hi)`.
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
-    }
-
-    /// Uniform integer in `[lo, hi]`.
-    fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-        let span = (hi - lo + 1) as u64;
-        lo + (self.next_u64() % span) as i64
-    }
-
-    fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        self.i64_in(lo as i64, hi as i64) as usize
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-
-    fn vec_f64(&mut self, lo: f64, hi: f64, len: usize) -> Vec<f64> {
-        (0..len).map(|_| self.f64_in(lo, hi)).collect()
-    }
+fn vec_f64(rng: &mut SplitMix64, lo: f64, hi: f64, len: usize) -> Vec<f64> {
+    (0..len).map(|_| rng.f64_in(lo, hi)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -60,10 +38,10 @@ impl Rng {
 /// Iw fields round-trip any integer that fits the width.
 #[test]
 fn integer_fields_round_trip() {
-    let mut rng = Rng::new(0x1d1);
+    let mut rng = SplitMix64::new(0x1d1);
     let format: Format = "(I5)".parse().unwrap();
     for _ in 0..128 {
-        let v = rng.i64_in(-9999, 9999);
+        let v = i64_in(&mut rng, -9999, 9999);
         let record = FormatWriter::new(&format)
             .write_record(&[Field::Int(v)])
             .unwrap();
@@ -75,7 +53,7 @@ fn integer_fields_round_trip() {
 /// Fw.d fields round-trip to within half a unit in the last place.
 #[test]
 fn fixed_fields_round_trip() {
-    let mut rng = Rng::new(0x1d2);
+    let mut rng = SplitMix64::new(0x1d2);
     let format: Format = "(F9.4)".parse().unwrap();
     for _ in 0..128 {
         let v = rng.f64_in(-99.0, 99.0);
@@ -91,12 +69,12 @@ fn fixed_fields_round_trip() {
 /// Ew.d fields round-trip within the mantissa precision.
 #[test]
 fn exponential_fields_round_trip() {
-    let mut rng = Rng::new(0x1d3);
+    let mut rng = SplitMix64::new(0x1d3);
     let format: Format = "(E15.7)".parse().unwrap();
     for _ in 0..128 {
         let m = rng.f64_in(0.1, 1.0);
-        let e = rng.i64_in(-12, 11) as i32;
-        let v = if rng.bool() { -m } else { m } * 10f64.powi(e);
+        let e = i64_in(&mut rng, -12, 11) as i32;
+        let v = if coin(&mut rng) { -m } else { m } * 10f64.powi(e);
         let record = FormatWriter::new(&format)
             .write_record(&[Field::Real(v)])
             .unwrap();
@@ -109,11 +87,11 @@ fn exponential_fields_round_trip() {
 /// Multi-record format reuse never loses or reorders values.
 #[test]
 fn format_reuse_preserves_order() {
-    let mut rng = Rng::new(0x1d4);
+    let mut rng = SplitMix64::new(0x1d4);
     let format: Format = "(4I4)".parse().unwrap();
     for _ in 0..128 {
-        let values: Vec<i64> = (0..rng.usize_in(1, 29))
-            .map(|_| rng.i64_in(-999, 999))
+        let values: Vec<i64> = (0..usize_in(&mut rng, 1, 29))
+            .map(|_| i64_in(&mut rng, -999, 999))
             .collect();
         let fields: Vec<Field> = values.iter().map(|&v| Field::Int(v)).collect();
         let records = FormatWriter::new(&format).write_all(&fields).unwrap();
@@ -138,13 +116,13 @@ fn format_reuse_preserves_order() {
 /// consecutive points subtend equal chords.
 #[test]
 fn arc_points_on_circle() {
-    let mut rng = Rng::new(0x2e1);
+    let mut rng = SplitMix64::new(0x2e1);
     for _ in 0..128 {
         let x0 = rng.f64_in(-10.0, 10.0);
         let y0 = rng.f64_in(-10.0, 10.0);
         let angle = rng.f64_in(0.1, 1.4);
         let radius = rng.f64_in(0.5, 20.0);
-        let n = rng.usize_in(2, 11);
+        let n = usize_in(&mut rng, 2, 11);
         let start = Point::new(x0 + radius, y0);
         let end = Point::new(x0 + radius * angle.cos(), y0 + radius * angle.sin());
         let arc = Arc::from_endpoints_radius(start, end, radius).unwrap();
@@ -161,11 +139,11 @@ fn arc_points_on_circle() {
 /// Segment subdivision: even spacing, exact end points.
 #[test]
 fn segment_subdivision_even() {
-    let mut rng = Rng::new(0x2e2);
+    let mut rng = SplitMix64::new(0x2e2);
     for _ in 0..128 {
         let (ax, ay) = (rng.f64_in(-5.0, 5.0), rng.f64_in(-5.0, 5.0));
         let (bx, by) = (rng.f64_in(-5.0, 5.0), rng.f64_in(-5.0, 5.0));
-        let n = rng.usize_in(1, 19);
+        let n = usize_in(&mut rng, 1, 19);
         if (ax - bx).abs() + (ay - by).abs() <= 1e-6 {
             continue;
         }
@@ -183,7 +161,7 @@ fn segment_subdivision_even() {
 /// the query point.
 #[test]
 fn triangle_invariants() {
-    let mut rng = Rng::new(0x2e3);
+    let mut rng = SplitMix64::new(0x2e3);
     for _ in 0..128 {
         let t = Triangle::new(
             Point::new(rng.f64_in(-5.0, 5.0), rng.f64_in(-5.0, 5.0)),
@@ -217,7 +195,7 @@ fn triangle_invariants() {
 /// resulting contour count stays in the hand-plot sweet spot.
 #[test]
 fn automatic_interval_properties() {
-    let mut rng = Rng::new(0x3f1);
+    let mut rng = SplitMix64::new(0x3f1);
     for _ in 0..256 {
         let lo = rng.f64_in(-1.0e6, 1.0e6);
         let span = rng.f64_in(1e-3, 1.0e6);
@@ -241,7 +219,7 @@ fn automatic_interval_properties() {
 /// range.
 #[test]
 fn contour_levels_properties() {
-    let mut rng = Rng::new(0x3f2);
+    let mut rng = SplitMix64::new(0x3f2);
     for _ in 0..256 {
         let lo = rng.f64_in(-1000.0, 1000.0);
         let span = rng.f64_in(0.5, 500.0);
@@ -289,11 +267,11 @@ fn strip_mesh(cells: usize, jitter: &[f64]) -> TriMesh {
 /// connectivity.
 #[test]
 fn cuthill_mckee_is_a_permutation() {
-    let mut rng = Rng::new(0x4a1);
+    let mut rng = SplitMix64::new(0x4a1);
     for _ in 0..64 {
-        let cells = rng.usize_in(2, 19);
-        let n = rng.usize_in(0, 79);
-        let jitter = rng.vec_f64(-1.0, 1.0, n);
+        let cells = usize_in(&mut rng, 2, 19);
+        let n = usize_in(&mut rng, 0, 79);
+        let jitter = vec_f64(&mut rng, -1.0, 1.0, n);
         let mesh = strip_mesh(cells, &jitter);
         let perm = cuthill_mckee(&mesh);
         let mut sorted = perm.clone();
@@ -311,11 +289,11 @@ fn cuthill_mckee_is_a_permutation() {
 /// positions, or the boundary.
 #[test]
 fn reform_invariants() {
-    let mut rng = Rng::new(0x4a2);
+    let mut rng = SplitMix64::new(0x4a2);
     for _ in 0..64 {
-        let cells = rng.usize_in(2, 14);
-        let n = rng.usize_in(0, 63);
-        let jitter = rng.vec_f64(-1.0, 1.0, n);
+        let cells = usize_in(&mut rng, 2, 14);
+        let n = usize_in(&mut rng, 0, 63);
+        let jitter = vec_f64(&mut rng, -1.0, 1.0, n);
         let mut mesh = strip_mesh(cells, &jitter);
         if mesh.validate().is_err() {
             continue;
@@ -335,11 +313,11 @@ fn reform_invariants() {
 /// minimum angle, and exactly quadruples the element count.
 #[test]
 fn refinement_invariants() {
-    let mut rng = Rng::new(0x4a3);
+    let mut rng = SplitMix64::new(0x4a3);
     for _ in 0..64 {
-        let cells = rng.usize_in(2, 9);
-        let n = rng.usize_in(0, 47);
-        let jitter = rng.vec_f64(-1.0, 1.0, n);
+        let cells = usize_in(&mut rng, 2, 9);
+        let n = usize_in(&mut rng, 0, 47);
+        let jitter = vec_f64(&mut rng, -1.0, 1.0, n);
         let coarse = strip_mesh(cells, &jitter);
         if coarse.validate().is_err() {
             continue;
@@ -363,11 +341,11 @@ fn refinement_invariants() {
 /// original node count and total area exactly.
 #[test]
 fn merge_undoes_duplication() {
-    let mut rng = Rng::new(0x4a4);
+    let mut rng = SplitMix64::new(0x4a4);
     for _ in 0..64 {
-        let cells = rng.usize_in(2, 9);
-        let n = rng.usize_in(0, 47);
-        let jitter = rng.vec_f64(-1.0, 1.0, n);
+        let cells = usize_in(&mut rng, 2, 9);
+        let n = usize_in(&mut rng, 0, 47);
+        let jitter = vec_f64(&mut rng, -1.0, 1.0, n);
         let base = strip_mesh(cells, &jitter);
         if base.validate().is_err() {
             continue;
@@ -407,11 +385,11 @@ fn merge_undoes_duplication() {
 /// segment.
 #[test]
 fn polyline_chaining_conserves_length() {
-    let mut rng = Rng::new(0x4a5);
+    let mut rng = SplitMix64::new(0x4a5);
     for _ in 0..64 {
-        let cells = rng.usize_in(2, 9);
-        let n = rng.usize_in(6, 21);
-        let values = rng.vec_f64(-40.0, 40.0, n);
+        let cells = usize_in(&mut rng, 2, 9);
+        let n = usize_in(&mut rng, 6, 21);
+        let values = vec_f64(&mut rng, -40.0, 40.0, n);
         let t = rng.f64_in(0.15, 0.85);
         let mesh = strip_mesh(cells, &[]);
         if values.len() < mesh.node_count() {
@@ -439,11 +417,11 @@ fn polyline_chaining_conserves_length() {
 /// levels outside the field range draw nothing.
 #[test]
 fn isogram_interpolation_exact() {
-    let mut rng = Rng::new(0x4a6);
+    let mut rng = SplitMix64::new(0x4a6);
     for _ in 0..64 {
-        let cells = rng.usize_in(2, 9);
-        let n = rng.usize_in(6, 21);
-        let values = rng.vec_f64(-50.0, 50.0, n);
+        let cells = usize_in(&mut rng, 2, 9);
+        let n = usize_in(&mut rng, 6, 21);
+        let values = vec_f64(&mut rng, -50.0, 50.0, n);
         let t = rng.f64_in(0.1, 0.9);
         let mesh = strip_mesh(cells, &[]);
         if values.len() < mesh.node_count() {
@@ -492,12 +470,12 @@ fn every_backend_passes_the_residual_audit() {
     };
     use cafemio::fem::{AnalysisKind, FemModel, Material};
 
-    let mut rng = Rng::new(0x4a7);
+    let mut rng = SplitMix64::new(0x4a7);
     let options = AuditOptions::strict();
     for _ in 0..24 {
-        let cells = rng.usize_in(2, 9);
-        let n = rng.usize_in(0, 39);
-        let jitter = rng.vec_f64(-1.0, 1.0, n);
+        let cells = usize_in(&mut rng, 2, 9);
+        let n = usize_in(&mut rng, 0, 39);
+        let jitter = vec_f64(&mut rng, -1.0, 1.0, n);
         let mesh = strip_mesh(cells, &jitter);
         let mut model = FemModel::new(
             mesh.clone(),

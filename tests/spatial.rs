@@ -14,24 +14,19 @@ use cafemio::ospl::{extract_isograms, extract_isograms_reference};
 use cafemio::pipeline::PipelineBuilder;
 use cafemio_bench::mutate::{base_decks, mutate, Fault, SplitMix64};
 
-fn f64_in(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
-    let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    lo + unit * (hi - lo)
-}
-
 /// Random axis-aligned boxes, a few degenerate (point or segment) ones
 /// among them.
 fn random_boxes(rng: &mut SplitMix64, n: usize) -> Vec<BoundingBox> {
     (0..n)
         .map(|i| {
-            let x = f64_in(rng, -10.0, 10.0);
-            let y = f64_in(rng, -10.0, 10.0);
+            let x = rng.f64_in(-10.0, 10.0);
+            let y = rng.f64_in(-10.0, 10.0);
             let (w, h) = if i % 7 == 0 {
                 (0.0, 0.0) // degenerate point box
             } else if i % 7 == 1 {
-                (f64_in(rng, 0.0, 3.0), 0.0) // degenerate segment box
+                (rng.f64_in(0.0, 3.0), 0.0) // degenerate segment box
             } else {
-                (f64_in(rng, 0.0, 3.0), f64_in(rng, 0.0, 3.0))
+                (rng.f64_in(0.0, 3.0), rng.f64_in(0.0, 3.0))
             };
             BoundingBox::from_points([Point::new(x, y), Point::new(x + w, y + h)])
         })
@@ -48,8 +43,8 @@ fn jittered_grid(rng: &mut SplitMix64, n: usize) -> TriMesh {
             let boundary = i == 0 || j == 0 || i == n || j == n;
             let jitter = if boundary { 0.0 } else { 0.3 };
             let p = Point::new(
-                i as f64 + f64_in(rng, -jitter, jitter),
-                j as f64 + f64_in(rng, -jitter, jitter),
+                i as f64 + rng.f64_in(-jitter, jitter),
+                j as f64 + rng.f64_in(-jitter, jitter),
             );
             let kind = if boundary {
                 BoundaryKind::Boundary
@@ -94,7 +89,7 @@ fn bvh_overlap_and_stab_queries_match_the_brute_force_scan() {
             .filter(|&i| boxes[i].intersects(&query))
             .collect();
         assert_eq!(bvh.overlapping(&query), brute_overlap, "round {round}");
-        let p = Point::new(f64_in(&mut rng, -12.0, 12.0), f64_in(&mut rng, -12.0, 12.0));
+        let p = Point::new(rng.f64_in(-12.0, 12.0), rng.f64_in(-12.0, 12.0));
         let brute_stab: Vec<usize> =
             (0..boxes.len()).filter(|&i| boxes[i].contains(p)).collect();
         assert_eq!(bvh.stabbing(p), brute_stab, "round {round}");
@@ -127,7 +122,7 @@ fn bvh_nearest_matches_the_brute_argmin_with_ties_to_the_lower_index() {
             .map(|b| Segment::new(b.min(), b.max()))
             .collect();
         let bvh = Bvh::build(&boxes);
-        let p = Point::new(f64_in(&mut rng, -12.0, 12.0), f64_in(&mut rng, -12.0, 12.0));
+        let p = Point::new(rng.f64_in(-12.0, 12.0), rng.f64_in(-12.0, 12.0));
         let distance = |i: usize| segments[i].distance_to_point(p);
         let mut brute: Option<(usize, f64)> = None;
         for i in 0..boxes.len() {
@@ -156,7 +151,7 @@ fn mesh_index_queries_match_their_brute_definitions_on_random_meshes() {
             .map(|e| Segment::new(mesh.node(e.0).position, mesh.node(e.1).position))
             .collect();
         for _ in 0..40 {
-            let p = Point::new(f64_in(&mut rng, -2.0, 9.0), f64_in(&mut rng, -2.0, 9.0));
+            let p = Point::new(rng.f64_in(-2.0, 9.0), rng.f64_in(-2.0, 9.0));
             let brute_locate = mesh
                 .elements()
                 .map(|(id, _)| id)
@@ -216,8 +211,8 @@ fn accelerated_isograms_match_the_reference_on_the_mutated_deck_corpus() {
             let extents = mesh.bounding_box();
             for _ in 0..20 {
                 let p = Point::new(
-                    f64_in(&mut rng, extents.min().x - 1.0, extents.max().x + 1.0),
-                    f64_in(&mut rng, extents.min().y - 1.0, extents.max().y + 1.0),
+                    rng.f64_in(extents.min().x - 1.0, extents.max().x + 1.0),
+                    rng.f64_in(extents.min().y - 1.0, extents.max().y + 1.0),
                 );
                 let brute_locate = mesh
                     .elements()
@@ -253,8 +248,8 @@ fn field_probe_agrees_with_the_brute_barycentric_scan_on_every_catalog_mesh() {
         let mut points: Vec<Point> = (0..40)
             .map(|_| {
                 Point::new(
-                    f64_in(&mut rng, extents.min().x - 0.5, extents.max().x + 0.5),
-                    f64_in(&mut rng, extents.min().y - 0.5, extents.max().y + 0.5),
+                    rng.f64_in(extents.min().x - 0.5, extents.max().x + 0.5),
+                    rng.f64_in(extents.min().y - 0.5, extents.max().y + 0.5),
                 )
             })
             .collect();
